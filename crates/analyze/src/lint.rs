@@ -36,6 +36,7 @@ use hetchol_core::schedule::{DurationCheck, Schedule};
 use hetchol_core::task::{TaskCoords, TaskId};
 use hetchol_core::time::Time;
 use hetchol_core::trace::Trace;
+use std::collections::HashMap;
 
 /// Which per-worker queue discipline the engine was configured with — the
 /// paper's `dmda` (FIFO) versus `dmdas` (priority-sorted) distinction.
@@ -238,8 +239,14 @@ impl<'a> Linter<'a> {
                 }
             }
         } else {
+            // Each task's first execution event, indexed once, so the
+            // join is linear in the trace rather than quadratic.
+            let mut first_run = HashMap::with_capacity(trace.events.len());
+            for ev in &trace.events {
+                first_run.entry(ev.task).or_insert(ev);
+            }
             for qe in &trace.queue_events {
-                let Some(ev) = trace.events.iter().find(|e| e.task == qe.task) else {
+                let Some(ev) = first_run.get(&qe.task) else {
                     continue; // enqueued but never executed: set rules cover it
                 };
                 if qe.worker < trace.n_workers {

@@ -179,22 +179,31 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// Append `s` as a quoted, escaped JSON string.
+/// Append `s` as a quoted, escaped JSON string. Runs of bytes that need
+/// no escape are copied whole.
 pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    // Every byte that needs an escape is ASCII, so each cut below falls
+    // on a character boundary.
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -214,6 +223,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -224,9 +234,16 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so the limit keeps a hostile document (say
+/// 60 000 `[`) an error instead of a stack overflow on a small thread
+/// stack; no document this workspace writes nests past a handful.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -253,8 +270,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(&open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -292,51 +323,79 @@ impl Parser<'_> {
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
 
+    /// A string literal. Each run of bytes up to the next `"` or `\` is
+    /// appended whole, so parsing is linear in the literal's length.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty by construction");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `self.pos` is just past the
+    /// backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        self.pos += 1;
+        Ok(match self.bytes.get(at) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let unit = self.hex4()?;
+                // A high surrogate followed by a low one is one scalar
+                // (UTF-16 pair); an unpaired surrogate becomes U+FFFD.
+                if (0xd800..0xdc00).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+                    let resume = self.pos;
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if (0xdc00..0xe000).contains(&low) {
+                        let scalar = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
+                        return Ok(char::from_u32(scalar).expect("a surrogate pair is a scalar"));
+                    }
+                    self.pos = resume;
+                }
+                char::from_u32(unit).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(format!("bad escape at byte {at}")),
+        })
+    }
+
+    /// Exactly four hex digits (the body of a `\u` escape).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        let unit = digits.iter().fold(0, |acc, &d| {
+            acc * 16 + (d as char).to_digit(16).expect("hex digit")
+        });
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -438,6 +497,69 @@ mod tests {
         assert!(v.field("s").unwrap().as_u64().is_err());
         assert!(JsonValue::Num(1.5).as_u64().is_err());
         assert!(JsonValue::Null.field("x").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let v = parse_json(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "\u{1f600}");
+        assert_eq!(
+            parse_json(r#""\uD83D\uDE00!""#).unwrap().as_str().unwrap(),
+            "\u{1f600}!"
+        );
+        // Unpaired halves (and a high surrogate followed by a non-low
+        // escape) each stay U+FFFD; the following escape still decodes.
+        assert_eq!(
+            parse_json(r#""\ud83d""#).unwrap().as_str().unwrap(),
+            "\u{fffd}"
+        );
+        assert_eq!(
+            parse_json(r#""\ude00x""#).unwrap().as_str().unwrap(),
+            "\u{fffd}x"
+        );
+        assert_eq!(
+            parse_json(r#""\ud83d\u0041""#).unwrap().as_str().unwrap(),
+            "\u{fffd}A"
+        );
+        assert_eq!(
+            parse_json(r#""\u00e9\u0041""#).unwrap().as_str().unwrap(),
+            "\u{e9}A"
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g1""#,
+            r#""\u12""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&objects).unwrap_err().contains("nesting"));
+        // Far past the limit, on a thread stack much smaller than the
+        // 2 MiB a server connection thread gets.
+        let hostile = "[".repeat(60_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse_json(&hostile))
+            .unwrap()
+            .join()
+            .unwrap()
+            .unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

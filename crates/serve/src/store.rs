@@ -24,7 +24,7 @@
 //! lock order is still store → caches, and the DPOR model tree gains no
 //! schedule points.
 
-use crate::wal::{Appended, JobLog, ScannedRecord, WalRecord};
+use crate::wal::{Appended, JobLog, RecordView, ScannedRecord, WalRecord};
 use hetchol::job::{JobError, JobOutcome, JobSpec};
 use hetchol_analyze::Report;
 use hetchol_sim::SimResult;
@@ -96,13 +96,14 @@ impl StoredJob {
         self.sim.as_ref().map(|r| self.spec.lint_sim(r))
     }
 
-    /// The job's durable form for the log.
-    pub fn wal_record(&self) -> WalRecord {
-        WalRecord {
+    /// The job's durable form for the log, borrowed: appending it frames
+    /// the resident job without copying it.
+    pub fn wal_record(&self) -> RecordView<'_> {
+        RecordView {
             id: self.id,
-            spec: self.spec.clone(),
-            outcome: self.outcome.clone(),
-            trace: self.trace_text.clone(),
+            spec: &self.spec,
+            outcome: &self.outcome,
+            trace: self.trace_text.as_deref(),
         }
     }
 
@@ -450,11 +451,11 @@ mod tests {
 
         let first = job(1, 0);
         let first_trace = first.chrome_trace().expect("obs job has a trace");
-        let a1 = log.append(&first.wal_record()).expect("append 1");
+        let a1 = log.append(first.wal_record()).expect("append 1");
         drop(store.insert_locked(first, Some(&a1)));
 
         let second = job(2, 1);
-        let a2 = log.append(&second.wal_record()).expect("append 2");
+        let a2 = log.append(second.wal_record()).expect("append 2");
         drop(store.insert_locked(second, Some(&a2)));
 
         // Cap of one: the first job was evicted down to its offset...
@@ -486,7 +487,7 @@ mod tests {
         let log = Arc::new(JobLog::in_memory(&IoFaultPlan::none()));
         let a = job(7, 3);
         let trace = a.chrome_trace().expect("obs trace");
-        log.append(&a.wal_record()).expect("append");
+        log.append(a.wal_record()).expect("append");
         let (records, report) = crate::wal::scan(&log.read(0).expect("readable").frame());
         assert!(report.is_clean());
 

@@ -31,7 +31,7 @@
 use hetchol::job::{JobOutcome, JobSpec};
 use hetchol_core::fault::{IoFault, IoFaultPlan};
 use hetchol_core::hash::ContentHasher;
-use hetchol_core::json::{parse_json, JsonValue};
+use hetchol_core::json::{escape_into, parse_json, JsonValue};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -67,49 +67,95 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// The record payload: `{"v":1,"id":N,"spec":…,"outcome":…,"trace":…}`.
-    pub fn to_payload(&self) -> String {
-        JsonValue::Obj(vec![
-            ("v".into(), JsonValue::uint(1)),
-            ("id".into(), JsonValue::uint(self.id)),
-            ("spec".into(), self.spec.to_json_value()),
-            ("outcome".into(), self.outcome.to_json_value()),
-            (
-                "trace".into(),
-                match &self.trace {
-                    Some(t) => JsonValue::str(t),
-                    None => JsonValue::Null,
-                },
-            ),
-        ])
-        .render()
-    }
-
-    /// Parse a payload emitted by [`WalRecord::to_payload`].
+    /// Parse a record payload (the bytes behind a frame header). The
+    /// trace string is moved out of the parsed document, not copied.
     pub fn from_payload(text: &str) -> Result<WalRecord, String> {
         let v = parse_json(text)?;
         let version = v.field("v")?.as_u64()?;
         if version != 1 {
             return Err(format!("unsupported record version {version}"));
         }
+        let id = v.field("id")?.as_u64()?;
+        let spec = JobSpec::from_json_value(v.field("spec")?).map_err(|e| e.to_string())?;
+        let outcome = JobOutcome::from_json_value(v.field("outcome")?)?;
+        let JsonValue::Obj(members) = v else {
+            return Err("record payload is not an object".into());
+        };
+        let trace = match members.into_iter().find(|(k, _)| k == "trace") {
+            None => return Err("missing field \"trace\"".into()),
+            Some((_, JsonValue::Null)) => None,
+            Some((_, JsonValue::Str(t))) => Some(t),
+            Some((_, other)) => return Err(format!("expected a string, got {other:?}")),
+        };
         Ok(WalRecord {
-            id: v.field("id")?.as_u64()?,
-            spec: JobSpec::from_json_value(v.field("spec")?).map_err(|e| e.to_string())?,
-            outcome: JobOutcome::from_json_value(v.field("outcome")?)?,
-            trace: match v.field("trace")? {
-                JsonValue::Null => None,
-                t => Some(t.as_str()?.to_string()),
-            },
+            id,
+            spec,
+            outcome,
+            trace,
         })
     }
 
     /// Frame the record for the wire: length prefix, checksum, payload.
     pub fn frame(&self) -> Vec<u8> {
-        let payload = self.to_payload().into_bytes();
-        let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&checksum(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        RecordView::from(self).frame()
+    }
+}
+
+/// A record borrowed from wherever it lives — a [`WalRecord`] or the
+/// store's resident job — so appending a commit copies nothing but the
+/// frame itself.
+#[derive(Copy, Clone, Debug)]
+pub struct RecordView<'a> {
+    /// Server-assigned job id.
+    pub id: u64,
+    /// The spec, verbatim.
+    pub spec: &'a JobSpec,
+    /// The serializable result summary.
+    pub outcome: &'a JobOutcome,
+    /// The rendered Chrome trace, if any.
+    pub trace: Option<&'a str>,
+}
+
+impl<'a> From<&'a WalRecord> for RecordView<'a> {
+    fn from(record: &'a WalRecord) -> RecordView<'a> {
+        RecordView {
+            id: record.id,
+            spec: &record.spec,
+            outcome: &record.outcome,
+            trace: record.trace.as_deref(),
+        }
+    }
+}
+
+impl RecordView<'_> {
+    /// Frame the record. The payload
+    /// `{"v":1,"id":N,"spec":…,"outcome":…,"trace":…}` is written member
+    /// by member straight into the frame buffer, behind a placeholder
+    /// header that is filled in last; its bytes are those of the record
+    /// rendered as one `JsonValue` object.
+    pub fn frame(&self) -> Vec<u8> {
+        // Spec and outcome take well under a kilobyte; escaping a trace
+        // adds a backslash per quote, and about a fifth of a rendered
+        // Chrome trace's bytes are quotes.
+        let trace_len = self.trace.map_or(0, str::len);
+        let mut buf = String::with_capacity(HEADER_BYTES + 1024 + trace_len + trace_len / 4);
+        buf.push_str(&"\0".repeat(HEADER_BYTES));
+        buf.push_str("{\"v\":1,\"id\":");
+        JsonValue::uint(self.id).write(&mut buf);
+        buf.push_str(",\"spec\":");
+        self.spec.to_json_value().write(&mut buf);
+        buf.push_str(",\"outcome\":");
+        self.outcome.to_json_value().write(&mut buf);
+        buf.push_str(",\"trace\":");
+        match self.trace {
+            Some(t) => escape_into(t, &mut buf),
+            None => buf.push_str("null"),
+        }
+        buf.push('}');
+        let mut buf = buf.into_bytes();
+        let (header, payload) = buf.split_at_mut(HEADER_BYTES);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
         buf
     }
 }
@@ -554,8 +600,8 @@ impl JobLog {
     /// Durably append one record: frame, write, sync. On any failure the
     /// log flips unhealthy and stays that way — the job was *not*
     /// committed and no further appends are accepted.
-    pub fn append(&self, record: &WalRecord) -> Result<Appended, LogError> {
-        let frame = record.frame();
+    pub fn append<'a>(&self, record: impl Into<RecordView<'a>>) -> Result<Appended, LogError> {
+        let frame = record.into().frame();
         let mut state = self.inner.lock().expect("log lock");
         if !state.healthy {
             return Err(LogError {
@@ -674,10 +720,106 @@ mod tests {
         }
     }
 
+    /// The payload as one rendered `JsonValue` object: the form every log
+    /// written so far holds, which the streaming writer must reproduce.
+    fn rendered_payload(rec: &WalRecord) -> String {
+        JsonValue::Obj(vec![
+            ("v".into(), JsonValue::uint(1)),
+            ("id".into(), JsonValue::uint(rec.id)),
+            ("spec".into(), rec.spec.to_json_value()),
+            ("outcome".into(), rec.outcome.to_json_value()),
+            (
+                "trace".into(),
+                rec.trace.as_deref().map_or(JsonValue::Null, JsonValue::str),
+            ),
+        ])
+        .render()
+    }
+
+    /// Quotes, backslashes, control characters and multibyte UTF-8.
+    const ESCAPE_HEAVY_TRACE: &str = "{\"traceEvents\":[{\"name\":\"GEMM \\\"k=0\\\"\",\"ph\":\"X\",\"args\":{\"path\":\"C:\\\\tiles\"}}],\n\t\"note\":\"\u{e9} \u{2211} \u{1f600} \u{1}\u{1f}\r\"}";
+
+    /// A record with a fixed outcome (no simulation), so its frame bytes
+    /// are pinned below.
+    fn golden_record() -> WalRecord {
+        let mut spec = JobSpec::new("cholesky", 4).expect("known workload");
+        spec.seed = 3;
+        spec.obs = true;
+        let outcome = JobOutcome {
+            spec_hash: spec.content_hash(),
+            workload: spec.workload,
+            n: spec.n,
+            scheduler: spec.scheduler.clone(),
+            action: spec.action,
+            outcome: hetchol_core::fault::RunOutcome::Completed,
+            makespan: Some(hetchol_core::time::Time::from_nanos(1_234_567)),
+            gflops: Some(12.5),
+            bounds: None,
+            certified: None,
+            lint: None,
+        };
+        WalRecord {
+            id: 42,
+            spec,
+            outcome,
+            trace: Some(ESCAPE_HEAVY_TRACE.into()),
+        }
+    }
+
+    #[test]
+    fn payload_writer_matches_the_rendered_object_byte_for_byte() {
+        let mut traced = JobSpec::new("cholesky", 4).expect("known workload");
+        traced.obs = true;
+        let run = traced.run_with_bounds(None).expect("valid spec");
+        let chrome = run.sim.expect("simulated").obs.to_chrome_trace();
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        let records = [
+            record(1, 0, None),
+            record(2, 1, Some("")),
+            record(3, 2, Some(r#"{"traceEvents":[]}"#)),
+            record(4, 3, Some(&chrome)),
+            record(5, 4, Some(&format!("\"\\{every_control}\u{7f}\u{10ffff}"))),
+            golden_record(),
+        ];
+        for rec in &records {
+            let want = rendered_payload(rec);
+            let frame = rec.frame();
+            assert_eq!(&frame[HEADER_BYTES..], want.as_bytes(), "record {}", rec.id);
+            assert_eq!(frame[..4], (want.len() as u32).to_le_bytes());
+            assert_eq!(
+                frame[4..HEADER_BYTES],
+                checksum(want.as_bytes()).to_le_bytes()
+            );
+            assert_eq!(&WalRecord::from_payload(&want).expect("parses"), rec);
+        }
+    }
+
+    #[test]
+    fn frames_written_before_the_streaming_writer_still_recover() {
+        // A frame as the log held it before the payload was streamed:
+        // length 629, FNV-1a checksum, then the rendered payload.
+        const PAYLOAD: &str = r#"{"v":1,"id":42,"spec":{"v":1,"workload":"cholesky","n":4,"platform":"mirage","profile":"mirage","scheduler":"dmdas","action":"simulate","seed":3,"jitter":false,"obs":true,"faults":[],"retry":{"max_attempts":4,"backoff_base_ns":100000,"backoff_cap_ns":10000000,"watchdog_ns":null}},"outcome":{"status":"ok","spec_hash":"c10ee6a3e1ca87c4","workload":"cholesky","n":4,"scheduler":"dmdas","action":"simulate","outcome":{"label":"completed"},"makespan_ns":1234567,"gflops":12.5},"trace":"{\"traceEvents\":[{\"name\":\"GEMM \\\"k=0\\\"\",\"ph\":\"X\",\"args\":{\"path\":\"C:\\\\tiles\"}}],\n\t\"note\":\"é ∑ 😀 \u0001\u001f\r\"}"}"#;
+        const HEADER: [u8; HEADER_BYTES] = [
+            0x75, 0x02, 0x00, 0x00, 0xdb, 0x84, 0x6d, 0x3c, 0x33, 0xc0, 0x60, 0x75,
+        ];
+        let old: Vec<u8> = HEADER.iter().chain(PAYLOAD.as_bytes()).copied().collect();
+        let rec = golden_record();
+        assert_eq!(rec.frame(), old, "the writer still emits the old bytes");
+
+        let (scanned, report) = scan(&old);
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(scanned.len(), 1);
+        assert_eq!(scanned[0].record, rec);
+        let log = JobLog::new(Box::new(MemBackend::from_bytes(old)));
+        assert_eq!(log.read(0).expect("old frame reads"), rec);
+    }
+
     #[test]
     fn records_round_trip_through_the_frame() {
         let rec = record(7, 3, Some(r#"{"traceEvents":[]}"#));
-        let parsed = WalRecord::from_payload(&rec.to_payload()).expect("payload parses");
+        let frame = rec.frame();
+        let payload = std::str::from_utf8(&frame[HEADER_BYTES..]).expect("UTF-8 payload");
+        let parsed = WalRecord::from_payload(payload).expect("payload parses");
         assert_eq!(rec, parsed);
 
         let log = JobLog::in_memory(&IoFaultPlan::none());

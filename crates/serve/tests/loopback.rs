@@ -142,6 +142,28 @@ fn golden_error_bodies_are_stable() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_bad_spec_and_the_server_keeps_answering() {
+    let server = default_server();
+    // 60 000 `[` used to recurse the connection thread's stack into an
+    // overflow that aborted the whole process.
+    let (status, body) = client::post_job(server.addr(), &"[".repeat(60_000)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    let v = parse_json(&body).unwrap();
+    assert_eq!(v.field("code").unwrap().as_str().unwrap(), "bad-spec");
+    assert!(
+        v.field("detail")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("nesting"),
+        "{body}"
+    );
+    let (status, stats) = client::get(server.addr(), "/stats").unwrap();
+    assert_eq!(status, 200, "{stats}");
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_identical_specs_hit_the_cache_after_warmup() {
     let server = default_server();
     let spec = r#"{"workload":"cholesky","n":6,"action":"bounds"}"#;
